@@ -2,9 +2,7 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"quantumjoin/internal/core"
@@ -22,17 +20,16 @@ type BatchStats struct {
 // shares the same cache key, backend, and solver params, so one solve
 // serves them all. Members keep their own relation permutation — two
 // queries that are relabellings of each other share the canonical solve
-// but decode back into their own indexing.
+// but decode back into their own indexing. The first member leads: its
+// request's params and cache outcome go to the solve.
 type batchGroup struct {
 	name    string
 	backend Backend
-	enc     *core.Encoding
+	enc     *core.Encoding // nil for a QueryBackend item
 	key     string
-	params  Params
 	members []batchMember
 
-	d   *core.Decoded
-	err error
+	out outcome
 }
 
 // batchMember references its permutation as an offset into the batch
@@ -48,9 +45,9 @@ type batchMember struct {
 // groupKey is the comparable dedup key of one batch item: cache key (an
 // interned string from the encoding cache), backend, and the params that
 // change a solve's output. solo is 0 for dedupable items and index+1 for
-// items that must solve alone (warm starts, hybrid tuning), making their
-// keys unique. A struct key replaces the fmt.Sprintf string the dedup map
-// used to allocate per item.
+// items that must solve alone (warm starts, hybrid tuning, QueryBackend
+// items), making their keys unique. A struct key replaces the fmt.Sprintf
+// string the dedup map used to allocate per item.
 type groupKey struct {
 	key   string
 	name  string
@@ -84,17 +81,42 @@ func (b *batchScratch) reset() {
 
 // addGroup appends a group slot, recycling the backing entry (and its
 // members capacity) when one exists from an earlier batch.
-func (b *batchScratch) addGroup(name string, backend Backend, enc *core.Encoding, key string, p Params) int {
+func (b *batchScratch) addGroup(name string, backend Backend, enc *core.Encoding, key string) int {
 	if len(b.groups) < cap(b.groups) {
 		b.groups = b.groups[:len(b.groups)+1]
 	} else {
 		b.groups = append(b.groups, batchGroup{})
 	}
 	g := &b.groups[len(b.groups)-1]
-	g.name, g.backend, g.enc, g.key, g.params = name, backend, enc, key, p
+	g.name, g.backend, g.enc, g.key = name, backend, enc, key
 	g.members = g.members[:0]
-	g.d, g.err = nil, nil
+	g.out = outcome{}
 	return len(b.groups) - 1
+}
+
+// add files one resolved and encoded batch item into its dedup group.
+func (b *batchScratch) add(i int, req *Request, backend Backend, e encoded) {
+	// perm aliases the fingerprinter's buffer, which the next item
+	// overwrites; park it in the shared arena (members store offsets —
+	// arena growth would invalidate direct slices).
+	permOff := len(b.permArena)
+	b.permArena = append(b.permArena, e.perm...)
+	// Warm-started and hybrid-tuned items are never deduplicated: their
+	// extra inputs are not part of the group key. QueryBackend items have
+	// no canonical instance to share.
+	name := backend.Name()
+	p := req.Params
+	gk := groupKey{key: e.key, name: name, reads: p.Reads, seed: p.Seed}
+	if e.enc == nil || len(p.InitialState) != 0 || p.Hybrid.Strategy != "" || len(p.Hybrid.Portfolio) != 0 || p.Hybrid.HedgeDelay != 0 {
+		gk = groupKey{solo: i + 1}
+	}
+	gi, ok := b.byKey[gk]
+	if !ok {
+		gi = b.addGroup(name, backend, e.enc, e.key)
+		b.byKey[gk] = gi
+	}
+	g := &b.groups[gi]
+	g.members = append(g.members, batchMember{idx: i, permOff: permOff, permLen: len(e.perm), hit: e.hit})
 }
 
 // OptimizeBatch runs a whole envelope of requests as one unit of work:
@@ -124,29 +146,9 @@ func (s *Service) OptimizeBatch(ctx context.Context, reqs []*Request, timeout ti
 	ctx, span := s.cfg.Tracer.Start(ctx, "optimize.batch")
 	span.SetAttr("items", len(reqs))
 
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-
-	run := s.pool.Run
-	if s.cfg.Shed {
-		run = s.pool.TryRun
-	}
-	if err := run(ctx, func(ctx context.Context) {
+	if err := s.admit(ctx, timeout, func(ctx context.Context) {
 		stats.Unique = s.solveBatch(ctx, reqs, resps, errs)
 	}); err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			s.metrics.sheds.Add(1)
-			span.SetAttr("shed", true)
-		}
-		if errors.Is(err, ErrPanic) {
-			s.metrics.panics.Add(1)
-		}
 		for i := range errs {
 			if errs[i] == nil && resps[i] == nil {
 				errs[i] = err
@@ -184,10 +186,10 @@ func (s *Service) OptimizeBatch(ctx context.Context, reqs []*Request, timeout ti
 	return resps, errs, stats
 }
 
-// solveBatch runs on a pool worker: per-item validation and (cached)
-// encoding, deduplication into canonical groups, grouped solving with the
-// BatchSolver fast path where available, and per-member finishing. It
-// returns the number of deduplicated groups solved. All working storage
+// solveBatch runs on a pool worker: per-item resolve and encode,
+// deduplication into canonical groups, one dispatch per group (or one
+// BatchSolver call per backend), and per-member finishing. It returns
+// the number of deduplicated groups solved. All working storage
 // comes from the service's batchScratch pool, and entries of resps that
 // already hold a Response are filled in place — a warm batch of familiar
 // shapes allocates nothing in this scaffolding.
@@ -196,68 +198,17 @@ func (s *Service) solveBatch(ctx context.Context, reqs []*Request, resps []*Resp
 	defer s.batch.Put(b)
 	b.reset()
 
-	soloQuery := 0
 	for i, req := range reqs {
-		if req == nil || req.Query == nil {
-			errs[i] = fmt.Errorf("service: batch item %d has no query: %w", i, ErrBadRequest)
-			continue
+		backend, err := s.resolve(req)
+		var e encoded
+		if err == nil {
+			e, err = s.encode(ctx, backend, req, &b.sc.fp)
 		}
-		if err := req.Query.Validate(); err != nil {
-			errs[i] = fmt.Errorf("service: batch item %d: invalid query: %v: %w", i, err, ErrBadRequest)
-			continue
-		}
-		name := req.Backend
-		if name == "" {
-			name = s.cfg.DefaultBackend
-		}
-		backend, ok := s.reg.Get(name)
-		if !ok {
-			errs[i] = fmt.Errorf("service: batch item %d: unknown backend %q (have: %s): %w",
-				i, name, strings.Join(s.reg.Names(), ", "), ErrBadRequest)
-			continue
-		}
-		// Query-level backends (decomposition) bypass the monolithic
-		// encode and solve each item solo: their instances cannot be
-		// deduplicated by canonical encoding (no canonicalisation runs),
-		// and per-part solving is already batched internally.
-		if qb, ok := backend.(QueryBackend); ok {
-			resp := resps[i]
-			if resp == nil {
-				resp = &Response{}
-			}
-			if err := s.solveQueryInto(ctx, qb, req, &b.sc, resp); err != nil {
-				errs[i] = err
-				resps[i] = nil
-			} else {
-				resps[i] = resp
-			}
-			soloQuery++
-			continue
-		}
-		enc, key, perm, hit, err := s.cache.encodingScratch(ctx, req.Query, req.Spec, &b.sc.fp)
 		if err != nil {
-			errs[i] = fmt.Errorf("service: batch item %d: encoding failed: %v: %w", i, err, ErrBadRequest)
+			errs[i] = fmt.Errorf("batch item %d: %w", i, err)
 			continue
 		}
-		// perm aliases the fingerprinter's buffer, which the next item
-		// overwrites; park it in the shared arena (members store offsets —
-		// arena growth would invalidate direct slices).
-		permOff := len(b.permArena)
-		b.permArena = append(b.permArena, perm...)
-		// Warm-started and hybrid-tuned items are never deduplicated:
-		// their extra inputs are not part of the group key.
-		p := req.Params
-		gk := groupKey{key: key, name: name, reads: p.Reads, seed: p.Seed}
-		if len(p.InitialState) != 0 || p.Hybrid.Strategy != "" || len(p.Hybrid.Portfolio) != 0 || p.Hybrid.HedgeDelay != 0 {
-			gk = groupKey{solo: i + 1}
-		}
-		gi, ok := b.byKey[gk]
-		if !ok {
-			gi = b.addGroup(name, backend, enc, key, p)
-			b.byKey[gk] = gi
-		}
-		g := &b.groups[gi]
-		g.members = append(g.members, batchMember{idx: i, permOff: permOff, permLen: len(perm), hit: hit})
+		b.add(i, req, backend, e)
 	}
 
 	// Process groups backend by backend in first-appearance order, so a
@@ -282,12 +233,13 @@ func (s *Service) solveBatch(ctx context.Context, reqs []*Request, resps []*Resp
 			}
 		}
 		bm := s.metrics.Backend(name)
-		if bsv, ok := b.groups[first].backend.(BatchSolver); ok {
+		if bsv, ok := b.groups[first].backend.(BatchSolver); ok && b.groups[first].enc != nil {
 			b.encs = b.encs[:0]
 			b.ps = b.ps[:0]
 			for _, gj := range b.gidx {
-				b.encs = append(b.encs, b.groups[gj].enc)
-				b.ps = append(b.ps, b.groups[gj].params)
+				g := &b.groups[gj]
+				b.encs = append(b.encs, g.enc)
+				b.ps = append(b.ps, reqs[g.members[0].idx].Params)
 			}
 			solveCtx, span := obs.StartSpan(ctx, "solve.batch")
 			span.SetAttrStr("backend", name)
@@ -304,22 +256,14 @@ func (s *Service) solveBatch(ctx context.Context, reqs []*Request, resps []*Resp
 					err = vetDecoded(g.enc.Query.NumRelations(), name, ds[k])
 				}
 				bm.Observe(per, err)
-				g.d, g.err = ds[k], err
+				g.out = outcome{d: ds[k], err: err}
 			}
 			span.End(nil)
 		} else {
 			for _, gj := range b.gidx {
 				g := &b.groups[gj]
-				solveCtx, span := obs.StartSpan(ctx, "solve")
-				span.SetAttrStr("backend", name)
-				solveStart := time.Now()
-				d, err := s.safeSolve(solveCtx, g.backend, g.enc, g.params)
-				if err == nil {
-					err = vetDecoded(g.enc.Query.NumRelations(), name, d)
-				}
-				bm.Observe(time.Since(solveStart), err)
-				span.End(err)
-				g.d, g.err = d, err
+				lead := g.members[0]
+				g.out = s.dispatch(ctx, g.backend, reqs[lead.idx], g.enc, lead.hit)
 			}
 		}
 	}
@@ -327,12 +271,15 @@ func (s *Service) solveBatch(ctx context.Context, reqs []*Request, resps []*Resp
 	for gi := range b.groups {
 		g := &b.groups[gi]
 		for _, m := range g.members {
-			perm := b.permArena[m.permOff : m.permOff+m.permLen]
+			e := encoded{enc: g.enc, key: g.key, hit: m.hit}
+			if g.enc != nil {
+				e.perm = b.permArena[m.permOff : m.permOff+m.permLen]
+			}
 			resp := resps[m.idx]
 			if resp == nil {
 				resp = &Response{}
 			}
-			if err := s.finishInto(ctx, reqs[m.idx], g.name, g.enc, g.key, perm, m.hit, g.d, g.err, &b.sc, resp); err != nil {
+			if err := s.finishInto(ctx, reqs[m.idx], g.name, e, g.out, &b.sc, resp); err != nil {
 				errs[m.idx] = err
 				resps[m.idx] = nil
 			} else {
@@ -340,7 +287,7 @@ func (s *Service) solveBatch(ctx context.Context, reqs []*Request, resps []*Resp
 			}
 		}
 	}
-	return len(b.groups) + soloQuery
+	return len(b.groups)
 }
 
 // safeSolveBatch invokes a BatchSolver with the same panic containment as

@@ -1,8 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,6 +22,7 @@ type stubQueryBackend struct {
 	queryCalls int32
 	solveCalls int32
 	fail       bool
+	panics     bool
 }
 
 func (s *stubQueryBackend) Name() string { return "stubqb" }
@@ -31,6 +36,9 @@ func (s *stubQueryBackend) SolveQuery(ctx context.Context, q *join.Query, spec E
 	atomic.AddInt32(&s.queryCalls, 1)
 	if s.fail {
 		return nil, fmt.Errorf("stubqb: injected failure")
+	}
+	if s.panics {
+		panic("stubqb: injected panic")
 	}
 	n := q.NumRelations()
 	o := make(join.Order, n)
@@ -181,5 +189,93 @@ func TestBatchSolvesQueryBackendItemsSolo(t *testing.T) {
 	if resps[0].LogicalQubits != 7 || resps[2].LogicalQubits != 7 {
 		t.Errorf("QueryBackend items lost their qubit accounting: %d, %d",
 			resps[0].LogicalQubits, resps[2].LogicalQubits)
+	}
+}
+
+// TestQueryBackendPanicIsContained: a panicking QueryBackend is caught by
+// the service's panic guard on both the single and the batch path. With
+// Degrade on, both are served by the classical fallback and each counts
+// in the panics counter; without it, both fail with a 500-class error.
+func TestQueryBackendPanicIsContained(t *testing.T) {
+	q := chainQuery()
+	for _, degrade := range []bool{true, false} {
+		reg := classicalRegistry(t)
+		if err := reg.Register(&stubQueryBackend{panics: true}); err != nil {
+			t.Fatal(err)
+		}
+		svc := New(reg, Config{Workers: 2, DefaultBackend: "dp", Degrade: degrade})
+		resp, err := svc.Optimize(context.Background(), &Request{Query: q, Backend: "stubqb"})
+		resps, errs, _ := svc.OptimizeBatch(context.Background(), []*Request{{Query: q, Backend: "stubqb"}}, 5*time.Second)
+		got := []struct {
+			path string
+			resp *Response
+			err  error
+		}{{"single", resp, err}, {"batch", resps[0], errs[0]}}
+		for _, g := range got {
+			if degrade {
+				if g.err != nil {
+					t.Fatalf("degrade on, %s: %v", g.path, g.err)
+				}
+				if !g.resp.Degraded || !g.resp.Order.IsPermutation(q.NumRelations()) {
+					t.Errorf("degrade on, %s: want a degraded valid plan, got %+v", g.path, g.resp)
+				}
+				continue
+			}
+			if !errors.Is(g.err, ErrPanic) || statusFor(g.err) != http.StatusInternalServerError {
+				t.Errorf("degrade off, %s: err = %v (status %d), want a 500 panic error", g.path, g.err, statusFor(g.err))
+			}
+		}
+		if p := svc.MetricsSnapshot().Requests.Panics; degrade && p != 2 {
+			t.Errorf("degrade on: panics counter = %d, want 2", p)
+		}
+		svc.Close(context.Background())
+	}
+}
+
+// TestQueryBackendWarmOnlyEncodesNothing: a warm-only push for a
+// QueryBackend request above the monolithic limit answers 204 with its
+// fingerprint key and leaves the encoding cache untouched; a warm-only
+// push naming an unknown backend is a 400, as on a solve.
+func TestQueryBackendWarmOnlyEncodesNothing(t *testing.T) {
+	stub := &stubQueryBackend{}
+	svc := queryBackendService(t, stub)
+	defer svc.Close(context.Background())
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+
+	var catalog bytes.Buffer
+	if err := bigChainQuery(core.MaxMonolithicRelations + 8).WriteCatalog(&catalog); err != nil {
+		t.Fatal(err)
+	}
+	warm := func(backend string) *http.Response {
+		t.Helper()
+		body := fmt.Sprintf(`{"backend":%q,"query":%s}`, backend, catalog.Bytes())
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/optimize", bytes.NewReader([]byte(body)))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(HeaderWarmOnly, "1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+
+	before := svc.cache.Len()
+	resp := warm("stubqb")
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("warm-only status = %d, want 204", resp.StatusCode)
+	}
+	if resp.Header.Get("X-Cache-Key") == "" {
+		t.Error("warm-only response missing X-Cache-Key")
+	}
+	if got := svc.cache.Len(); got != before {
+		t.Errorf("encoding cache grew from %d to %d entries on a QueryBackend warm", before, got)
+	}
+	if got := atomic.LoadInt32(&stub.queryCalls) + atomic.LoadInt32(&stub.solveCalls); got != 0 {
+		t.Errorf("warm-only reached the backend %d times", got)
+	}
+	if resp := warm("nope"); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("warm-only with unknown backend: status %d, want 400", resp.StatusCode)
 	}
 }

@@ -220,19 +220,55 @@ func (s *Service) Close(ctx context.Context) error {
 	return s.pool.Shutdown(ctx)
 }
 
+// Every request runs the same five stages, each written once below:
+//
+//	resolve  → nil request/query, query validation, backend lookup
+//	admit    → deadline (default and clamp), pool slot, shed/panic counters
+//	encode   → cached canonical encoding, or only the key for a QueryBackend
+//	dispatch → one panic-guarded, vetted, timed backend solve
+//	finish   → degradation, decode back into the request's labelling, scoring
+//
+// Optimize is resolve → admit → solveInto (encode → dispatch → finish);
+// OptimizeBatch is admit → per-item resolve + encode → dedup → dispatch →
+// finish; Warm is resolve → encode.
+
+// encoded is the encode stage's output for one request.
+type encoded struct {
+	// enc is the canonical encoding; nil for a QueryBackend, which builds
+	// its own.
+	enc *core.Encoding
+	// key is the fingerprint: the cache key and cluster routing key.
+	key string
+	// perm maps request relations to canonical ones (perm[original] =
+	// canonical); nil is the identity.
+	perm []int
+	hit  bool
+}
+
+// outcome is the dispatch stage's output for one instance: the vetted
+// plan or the failure, plus the qubit count a QueryBackend reports for
+// its own encodings.
+type outcome struct {
+	d      *core.Decoded
+	qubits int
+	err    error
+}
+
 // Warm validates req and populates the encoding cache without solving:
 // the cluster layer pushes a primary owner's fresh encodings to the key's
 // replicas this way, so a failover lands on a warm cache. It returns the
-// cache key and whether the encoding was already cached.
+// cache key and whether the encoding was already cached. A QueryBackend
+// request only yields its key: no solve would ever read a monolithic
+// encoding of it.
 func (s *Service) Warm(ctx context.Context, req *Request) (key string, hit bool, err error) {
-	if req == nil || req.Query == nil {
-		return "", false, fmt.Errorf("service: warm: missing query: %w", ErrBadRequest)
-	}
-	_, key, _, hit, err = s.cache.EncodingContext(ctx, req.Query, req.Spec)
+	backend, err := s.resolve(req)
 	if err != nil {
-		return "", false, fmt.Errorf("service: warm: encoding failed: %v: %w", err, ErrBadRequest)
+		return "", false, err
 	}
-	return key, hit, nil
+	sc := s.scratch.Get().(*reqScratch)
+	defer s.scratch.Put(sc)
+	e, err := s.encode(ctx, backend, req, &sc.fp)
+	return e.key, e.hit, err
 }
 
 // Optimize runs one request through the pool under its deadline. When
@@ -250,16 +286,13 @@ func (s *Service) Optimize(ctx context.Context, req *Request) (*Response, error)
 		span.SetAttr("backend", req.Backend)
 	}
 
-	resp, err := s.optimize(ctx, req, start)
+	resp, err := s.optimize(ctx, req)
 	if err != nil {
 		s.metrics.errors.Add(1)
-		if errors.Is(err, ErrOverloaded) {
-			s.metrics.sheds.Add(1)
-			span.SetAttr("shed", true)
-		}
 		span.End(err)
 		return nil, err
 	}
+	resp.Elapsed = time.Since(start)
 	span.SetAttr("producer", resp.Backend)
 	span.SetAttr("cost", resp.Cost)
 	if resp.Degraded {
@@ -269,8 +302,50 @@ func (s *Service) Optimize(ctx context.Context, req *Request) (*Response, error)
 	return resp, nil
 }
 
-func (s *Service) optimize(ctx context.Context, req *Request, start time.Time) (*Response, error) {
-	if req.Query == nil {
+func (s *Service) optimize(ctx context.Context, req *Request) (*Response, error) {
+	backend, err := s.resolve(req)
+	if err != nil {
+		return nil, err
+	}
+	resp := &Response{}
+	var solveErr error
+	if err := s.admit(ctx, req.Timeout, func(ctx context.Context) {
+		solveErr = s.solveInto(ctx, backend, req, resp)
+	}); err != nil {
+		return nil, err
+	}
+	if solveErr != nil {
+		return nil, solveErr
+	}
+	return resp, nil
+}
+
+// solveInto runs one request's encode → dispatch → finish on a pool
+// worker, writing into a caller-owned Response: the warm path (cache hit,
+// healthy backend, Lean request, tracing off) performs zero allocations
+// beyond whatever the backend itself does — fingerprint and decode scratch
+// comes from the service's reqScratch pool and the response's slices are
+// reused in place.
+func (s *Service) solveInto(ctx context.Context, backend Backend, req *Request, resp *Response) error {
+	sc := s.scratch.Get().(*reqScratch)
+	defer s.scratch.Put(sc)
+
+	e, err := s.encode(ctx, backend, req, &sc.fp)
+	// On a miss the cache opens the "encode" span; a hit is recorded as
+	// an attribute on the active (root) span rather than a noise span.
+	obs.ActiveSpan(ctx).SetAttrBool("cache_hit", e.hit)
+	if err != nil {
+		return err
+	}
+	o := s.dispatch(ctx, backend, req, e.enc, e.hit)
+	return s.finishInto(ctx, req, backend.Name(), e, o, sc, resp)
+}
+
+// resolve is the first stage: it rejects a missing or invalid query and
+// looks the backend up, an empty name selecting the default. Every error
+// wraps ErrBadRequest.
+func (s *Service) resolve(req *Request) (Backend, error) {
+	if req == nil || req.Query == nil {
 		return nil, fmt.Errorf("service: request has no query: %w", ErrBadRequest)
 	}
 	if err := req.Query.Validate(); err != nil {
@@ -285,8 +360,15 @@ func (s *Service) optimize(ctx context.Context, req *Request, start time.Time) (
 		return nil, fmt.Errorf("service: unknown backend %q (have: %s): %w",
 			name, strings.Join(s.reg.Names(), ", "), ErrBadRequest)
 	}
+	return backend, nil
+}
 
-	timeout := req.Timeout
+// admit is the admission stage: it bounds fn by timeout (0 selects the
+// default, values above Config.MaxTimeout are clamped) and runs it on a
+// pool worker, shedding instead of queueing when Config.Shed is set. A
+// shed marks the root span ctx carries; sheds and worker panics are
+// counted here.
+func (s *Service) admit(ctx context.Context, timeout time.Duration, fn func(context.Context)) error {
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
 	}
@@ -300,101 +382,121 @@ func (s *Service) optimize(ctx context.Context, req *Request, start time.Time) (
 	if s.cfg.Shed {
 		run = s.pool.TryRun
 	}
-	var resp *Response
-	var solveErr error
-	if err := run(ctx, func(ctx context.Context) {
-		resp, solveErr = s.solve(ctx, backend, req)
-	}); err != nil {
-		if errors.Is(err, ErrPanic) {
-			s.metrics.panics.Add(1)
-		}
-		return nil, err
+	err := run(ctx, fn)
+	if errors.Is(err, ErrOverloaded) {
+		s.metrics.sheds.Add(1)
+		obs.ActiveSpan(ctx).SetAttr("shed", true)
 	}
-	if solveErr != nil {
-		return nil, solveErr
+	if errors.Is(err, ErrPanic) {
+		s.metrics.panics.Add(1)
 	}
-	resp.Elapsed = time.Since(start)
-	return resp, nil
+	return err
 }
 
-// solve runs on a pool worker: encoding (cached), panic-guarded backend
-// solve, result vetting, optional classical degradation, and mapping the
-// canonical-labelled result back into the request's indexing.
-func (s *Service) solve(ctx context.Context, backend Backend, req *Request) (*Response, error) {
-	resp := &Response{}
-	if err := s.solveInto(ctx, backend, req, resp); err != nil {
-		return nil, err
+// encode is the encoding stage: the cached canonical encoding of req's
+// query. A QueryBackend (decomposition) plans over the join graph directly
+// and builds its own per-part encodings, so it gets only the fingerprint
+// key — a monolithic encode would be wasted work at best and a hard error
+// above core.MaxMonolithicRelations. The returned perm aliases fp's
+// buffers.
+func (s *Service) encode(ctx context.Context, backend Backend, req *Request, fp *fingerprinter) (encoded, error) {
+	if _, ok := backend.(QueryBackend); ok {
+		sum, _ := fp.sum(req.Query, req.Spec)
+		return encoded{key: hex.EncodeToString(sum[:])}, nil
 	}
-	return resp, nil
-}
-
-// solveInto is solve writing into a caller-owned Response: the warm path
-// (cache hit, healthy backend, Lean request, tracing off) performs zero
-// allocations beyond whatever the backend itself does — fingerprint and
-// decode scratch comes from the service's reqScratch pool and the
-// response's slices are reused in place.
-func (s *Service) solveInto(ctx context.Context, backend Backend, req *Request, resp *Response) error {
-	sc := s.scratch.Get().(*reqScratch)
-	defer s.scratch.Put(sc)
-
-	// Query-level backends (decomposition) plan over the join graph
-	// directly and build their own per-part encodings; routing them
-	// through the monolithic encode would be wasted work at best and a
-	// hard error above core.MaxMonolithicRelations.
-	if qb, ok := backend.(QueryBackend); ok {
-		return s.solveQueryInto(ctx, qb, req, sc, resp)
-	}
-
-	// On a miss the cache opens the "encode" span; a hit is recorded as
-	// an attribute on the active (root) span rather than a noise span.
-	enc, key, perm, hit, err := s.cache.encodingScratch(ctx, req.Query, req.Spec, &sc.fp)
-	obs.ActiveSpan(ctx).SetAttrBool("cache_hit", hit)
+	enc, key, perm, hit, err := s.cache.encodingScratch(ctx, req.Query, req.Spec, fp)
 	if err != nil {
-		return fmt.Errorf("service: encoding failed: %v: %w", err, ErrBadRequest)
+		return encoded{}, fmt.Errorf("service: encoding failed: %v: %w", err, ErrBadRequest)
 	}
+	return encoded{enc: enc, key: key, perm: perm, hit: hit}, nil
+}
 
-	bm := s.metrics.Backend(backend.Name())
+// dispatch is the solve stage for one instance: the "solve" span and the
+// backend latency histogram around a panic-guarded call — Backend.Solve on
+// enc, or QueryBackend.SolveQuery on the request's own query when enc is
+// nil — and a structural check of the result.
+func (s *Service) dispatch(ctx context.Context, backend Backend, req *Request, enc *core.Encoding, hit bool) outcome {
+	name := backend.Name()
+	bm := s.metrics.Backend(name)
 	solveCtx, solveSpan := obs.StartSpan(ctx, "solve")
-	solveSpan.SetAttrStr("backend", backend.Name())
+	solveSpan.SetAttrStr("backend", name)
 	solveStart := time.Now()
 	// Thread the cache outcome into the solve parameters: the learned
 	// scheduler uses it as a routing feature (a warm encoding shifts the
 	// latency profile of every arm). Local copy — Params is a value struct.
 	ps := req.Params
 	ps.CacheHit = hit
-	d, err := s.safeSolve(solveCtx, backend, enc, ps)
-	if err == nil {
+	o := s.safeSolve(solveCtx, backend, req, enc, ps)
+	if o.err == nil {
 		// Never trust a backend's result structurally: an unreliable QPU
 		// (or a fault injector standing in for one) can return corrupted
 		// solutions with a straight face. An invalid order is a backend
 		// failure like any other — eligible for degradation, never served.
-		err = vetDecoded(enc.Query.NumRelations(), backend.Name(), d)
+		o.err = vetDecoded(req.Query.NumRelations(), name, o.d)
 	}
-	bm.Observe(time.Since(solveStart), err)
-	solveSpan.End(err)
-
-	return s.finishInto(ctx, req, backend.Name(), enc, key, perm, hit, d, err, sc, resp)
+	bm.Observe(time.Since(solveStart), o.err)
+	solveSpan.End(o.err)
+	return o
 }
 
-// finishInto turns one (possibly failed) backend outcome into a Response:
-// classical degradation when enabled, translation of the canonical-
-// labelled order back into the request's own relation indexing, true-cost
-// re-scoring, and the optional optimal-cost comparison. It is shared by
-// the single-request path and the batch path — in a batch, one solve of a
-// deduplicated canonical instance is finished once per member request,
-// each with its own permutation. Every Response field is (re)assigned, so
-// a recycled Response never leaks stale state; resp.Order's backing array
-// is reused in place.
-func (s *Service) finishInto(ctx context.Context, req *Request, backendName string, enc *core.Encoding, key string, perm []int, hit bool, d *core.Decoded, err error, sc *reqScratch, resp *Response) error {
+// safeSolve invokes the backend with panic containment: one misbehaving
+// backend must degrade its own request, never crash the daemon or leak a
+// pool worker.
+func (s *Service) safeSolve(ctx context.Context, backend Backend, req *Request, enc *core.Encoding, p Params) (o outcome) {
+	defer func() {
+		if r := recover(); r != nil {
+			o = outcome{err: fmt.Errorf("service: backend %q panicked: %v: %w", backend.Name(), r, ErrPanic)}
+		}
+	}()
+	if enc != nil {
+		o.d, o.err = backend.Solve(ctx, enc, p)
+		return o
+	}
+	qr, err := backend.(QueryBackend).SolveQuery(ctx, req.Query, req.Spec, p)
+	if err != nil {
+		return outcome{err: err}
+	}
+	return outcome{d: &qr.Decoded, qubits: qr.LogicalQubits}
+}
+
+// vetDecoded checks that a backend result is a structurally valid join
+// order over n relations.
+func vetDecoded(n int, backend string, d *core.Decoded) error {
+	if d == nil || !d.Valid {
+		return fmt.Errorf("service: backend %q returned no valid join order", backend)
+	}
+	if !d.Order.IsPermutation(n) {
+		return fmt.Errorf("service: backend %q returned order %v, not a permutation of %d relations",
+			backend, d.Order, n)
+	}
+	return nil
+}
+
+// finishInto is the final stage, turning one (possibly failed) backend
+// outcome into a Response: classical degradation when enabled,
+// translation of the order back into the request's own relation indexing
+// through e.perm, true-cost re-scoring, and the optional optimal-cost
+// comparison. In a batch, one solve of a deduplicated canonical instance
+// is finished once per member request, each with its own permutation.
+// Every Response field is (re)assigned, so a recycled Response never leaks
+// stale state; resp.Order's backing array is reused in place.
+func (s *Service) finishInto(ctx context.Context, req *Request, backendName string, e encoded, o outcome, sc *reqScratch, resp *Response) error {
+	d := o.d
 	producer := backendName
 	degraded := false
 	reason := ""
-	if err != nil {
+	if err := o.err; err != nil {
 		if !s.cfg.Degrade || errors.Is(err, ErrBadRequest) {
 			return err
 		}
+		// The fallback plans the instance the backend was given, so its
+		// order maps back through perm like any backend result.
+		q := req.Query
+		if e.enc != nil {
+			q = e.enc.Query
+		}
 		fbCtx, fbSpan := obs.StartSpan(ctx, "degrade")
-		d, producer = s.fallback(fbCtx, enc.Query)
+		d, producer = s.fallback(fbCtx, q)
 		fbSpan.SetAttrStr("fallback", producer)
 		fbSpan.End(nil)
 		degraded, reason = true, err.Error()
@@ -412,13 +514,17 @@ func (s *Service) finishInto(ctx context.Context, req *Request, backendName stri
 	// The backend solved the canonical instance; translate the order back
 	// into the request's relation indexing (costs are label-invariant).
 	_, decodeSpan := obs.StartSpan(ctx, "decode")
-	sc.inv = growInts(sc.inv, len(perm))
-	for orig, canon := range perm {
-		sc.inv[canon] = orig
-	}
 	order := resp.Order[:0]
-	for _, canon := range d.Order {
-		order = append(order, sc.inv[canon])
+	if e.perm == nil {
+		order = append(order, d.Order...)
+	} else {
+		sc.inv = growInts(sc.inv, len(e.perm))
+		for orig, canon := range e.perm {
+			sc.inv[canon] = orig
+		}
+		for _, canon := range d.Order {
+			order = append(order, sc.inv[canon])
+		}
 	}
 
 	resp.Backend = producer
@@ -433,48 +539,32 @@ func (s *Service) finishInto(ctx context.Context, req *Request, backendName stri
 	resp.Cost = req.Query.Cost(order)
 	resp.OptimalCost = 0
 	resp.Optimal = false
-	resp.LogicalQubits = enc.NumQubits()
-	resp.CacheKey = key
-	resp.CacheHit = hit
+	resp.LogicalQubits = o.qubits
+	if e.enc != nil {
+		resp.LogicalQubits = e.enc.NumQubits()
+	}
+	resp.CacheKey = e.key
+	resp.CacheHit = e.hit
 	resp.Degraded = degraded
 	resp.DegradedReason = reason
 	resp.Elapsed = 0
 	if n := req.Query.NumRelations(); !req.Lean && s.cfg.CompareRelations > 0 && n <= s.cfg.CompareRelations {
-		// The optimum of the canonical instance, computed once per cached
-		// encoding (plan costs are invariant under relation relabelling),
-		// replaces the per-request DP solve this comparison used to cost.
-		if opt, err := enc.Optimal(); err == nil {
+		// The optimum of the canonical instance is computed once per cached
+		// encoding (plan costs are invariant under relation relabelling);
+		// without an encoding it is solved per request.
+		var opt classical.Result
+		var err error
+		if e.enc != nil {
+			opt, err = e.enc.Optimal()
+		} else {
+			opt, err = classical.OptimalContext(ctx, req.Query)
+		}
+		if err == nil {
 			resp.OptimalCost = opt.Cost
 			resp.Optimal = resp.Cost <= opt.Cost*(1+1e-9)+1e-12
 		}
 	}
 	decodeSpan.End(nil)
-	return nil
-}
-
-// safeSolve invokes the backend with panic containment: one misbehaving
-// backend must degrade its own request, never crash the daemon or leak a
-// pool worker.
-func (s *Service) safeSolve(ctx context.Context, backend Backend, enc *core.Encoding, p Params) (d *core.Decoded, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			d = nil
-			err = fmt.Errorf("service: backend %q panicked: %v: %w", backend.Name(), r, ErrPanic)
-		}
-	}()
-	return backend.Solve(ctx, enc, p)
-}
-
-// vetDecoded checks that a backend result is a structurally valid join
-// order over n relations.
-func vetDecoded(n int, backend string, d *core.Decoded) error {
-	if d == nil || !d.Valid {
-		return fmt.Errorf("service: backend %q returned no valid join order", backend)
-	}
-	if !d.Order.IsPermutation(n) {
-		return fmt.Errorf("service: backend %q returned order %v, not a permutation of %d relations",
-			backend, d.Order, n)
-	}
 	return nil
 }
 
@@ -494,86 +584,4 @@ func (s *Service) fallback(ctx context.Context, q *join.Query) (*core.Decoded, s
 	}
 	res := classical.Greedy(q)
 	return &core.Decoded{Valid: true, Order: res.Order, Cost: res.Cost}, "greedy"
-}
-
-// solveQueryInto serves a QueryBackend request. The WL fingerprint is
-// still computed — it is the response CacheKey and the cluster routing
-// key — but no monolithic encoding is built or cached: the backend owns
-// its own (per-part) encodings, and its order comes back in the request's
-// own relation indexing, so no permutation translation happens either.
-func (s *Service) solveQueryInto(ctx context.Context, backend QueryBackend, req *Request, sc *reqScratch, resp *Response) error {
-	sum, _ := sc.fp.sum(req.Query, req.Spec)
-	key := hex.EncodeToString(sum[:])
-	obs.ActiveSpan(ctx).SetAttrBool("cache_hit", false)
-
-	bm := s.metrics.Backend(backend.Name())
-	solveCtx, solveSpan := obs.StartSpan(ctx, "solve")
-	solveSpan.SetAttrStr("backend", backend.Name())
-	solveStart := time.Now()
-	qr, err := s.safeSolveQuery(solveCtx, backend, req)
-	var d *core.Decoded
-	qubits := 0
-	if err == nil {
-		d = &qr.Decoded
-		qubits = qr.LogicalQubits
-		err = vetDecoded(req.Query.NumRelations(), backend.Name(), d)
-	}
-	bm.Observe(time.Since(solveStart), err)
-	solveSpan.End(err)
-
-	producer := backend.Name()
-	degraded := false
-	reason := ""
-	if err != nil {
-		if !s.cfg.Degrade || errors.Is(err, ErrBadRequest) {
-			return err
-		}
-		fbCtx, fbSpan := obs.StartSpan(ctx, "degrade")
-		d, producer = s.fallback(fbCtx, req.Query)
-		fbSpan.SetAttrStr("fallback", producer)
-		fbSpan.End(nil)
-		degraded, reason = true, err.Error()
-		s.metrics.degrades.Add(1)
-		s.metrics.Backend(producer).RecordDegraded()
-		if errors.Is(err, ErrPanic) {
-			s.metrics.panics.Add(1)
-		}
-		obs.Logger(ctx).WarnContext(ctx, "backend failed, degrading to classical plan",
-			"backend", backend.Name(), "fallback", producer, "error", reason)
-	}
-
-	resp.Backend = producer
-	resp.Order = append(resp.Order[:0], d.Order...)
-	resp.Tree = ""
-	if !req.Lean {
-		resp.Tree = req.Query.Tree(resp.Order)
-	}
-	resp.Cost = req.Query.Cost(resp.Order)
-	resp.OptimalCost = 0
-	resp.Optimal = false
-	resp.LogicalQubits = qubits
-	resp.CacheKey = key
-	resp.CacheHit = false
-	resp.Degraded = degraded
-	resp.DegradedReason = reason
-	resp.Elapsed = 0
-	if n := req.Query.NumRelations(); !req.Lean && s.cfg.CompareRelations > 0 && n <= s.cfg.CompareRelations {
-		if opt, err := classical.OptimalContext(ctx, req.Query); err == nil {
-			resp.OptimalCost = opt.Cost
-			resp.Optimal = resp.Cost <= opt.Cost*(1+1e-9)+1e-12
-		}
-	}
-	return nil
-}
-
-// safeSolveQuery is safeSolve for query-level backends: panic containment
-// around SolveQuery.
-func (s *Service) safeSolveQuery(ctx context.Context, backend QueryBackend, req *Request) (qr *QueryResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			qr = nil
-			err = fmt.Errorf("service: backend %q panicked: %v: %w", backend.Name(), r, ErrPanic)
-		}
-	}()
-	return backend.SolveQuery(ctx, req.Query, req.Spec, req.Params)
 }

@@ -110,6 +110,7 @@ func TestOptimizeRejectsBadInput(t *testing.T) {
 		name string
 		req  *Request
 	}{
+		{"nil request", nil},
 		{"nil query", &Request{Backend: "dp"}},
 		{"bad selectivity", &Request{Backend: "dp", Query: &join.Query{
 			Relations:  []join.Relation{{Card: 10}, {Card: 20}},
