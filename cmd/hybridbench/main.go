@@ -294,11 +294,7 @@ func instance(g querygen.GraphType, n int, seed int64) (*join.Query, *core.Encod
 // warmIncumbent builds the warm-start state the staged strategy feeds its
 // quantum stage: the greedy order embedded into the full QUBO space.
 func warmIncumbent(q *join.Query, enc *core.Encoding) []bool {
-	decision, err := enc.EncodeOrder(greedyOrder(q))
-	if err != nil {
-		fail(err)
-	}
-	full, err := enc.CompleteSlacks(decision)
+	full, err := enc.WarmState(greedyOrder(q))
 	if err != nil {
 		fail(err)
 	}

@@ -20,6 +20,14 @@ import (
 // fit in memory on commodity machines.
 const MaxDPRelations = 26
 
+// RequestDPRelations is the largest instance on which exact DP runs inside
+// a request — the hybrid classical stage and arm filter, and the
+// decomposition's per-part floor. OptimalContext polls the context, so the
+// gate is not about cancellation: it bounds the 2^T table (about 2.4 MB at
+// 18 relations, 600 MB at MaxDPRelations) and the DP time a deadline would
+// interrupt for nothing.
+const RequestDPRelations = 18
+
 // Result is an optimised join order with its C_out cost.
 type Result struct {
 	Order join.Order

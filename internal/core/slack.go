@@ -3,7 +3,22 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"quantumjoin/internal/join"
 )
+
+// WarmState embeds a join order into the full QUBO variable space: the
+// canonical decision assignment (EncodeOrder) with every constraint's
+// slack bits completed (CompleteSlacks). It is the initial state samplers
+// are warm-started from, so they refine a known plan instead of starting
+// from noise. On error it returns a nil state.
+func (e *Encoding) WarmState(o join.Order) ([]bool, error) {
+	decision, err := e.EncodeOrder(o)
+	if err != nil {
+		return nil, err
+	}
+	return e.CompleteSlacks(decision)
+}
 
 // CompleteSlacks extends an assignment of the decision variables to a full
 // QUBO assignment by choosing, for every equality constraint of the BILP,

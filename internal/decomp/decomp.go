@@ -305,10 +305,11 @@ func (b *Backend) preparePart(ctx context.Context, q *join.Query, rels []int, sp
 	job.sq = subQuery(q, rels)
 
 	// Classical floor for the part: exact DP when the part is small enough
-	// for the non-cancellable pass, greedy otherwise. This is also the
-	// warm-start incumbent and the degrade path on solver failure.
+	// for in-request DP (classical.RequestDPRelations), greedy otherwise or
+	// when the deadline interrupts the DP. This is also the warm-start
+	// incumbent and the degrade path on solver failure.
 	job.floor = classical.Greedy(job.sq)
-	if len(rels) <= 18 {
+	if len(rels) <= classical.RequestDPRelations {
 		if res, err := classical.OptimalContext(ctx, job.sq); err == nil {
 			job.floor = res
 		}
@@ -328,11 +329,7 @@ func (b *Backend) preparePart(ctx context.Context, q *join.Query, rels []int, sp
 	job.pp.Seed = saltSeed(p.Seed, i)
 	job.pp.Decomp = service.DecompParams{}
 	job.pp.Hybrid = service.HybridParams{}
-	if warm, werr := enc.EncodeOrder(job.floor.Order); werr == nil {
-		if full, ferr := enc.CompleteSlacks(warm); ferr == nil {
-			job.pp.InitialState = full
-		}
-	}
+	job.pp.InitialState, _ = enc.WarmState(job.floor.Order)
 	return job
 }
 

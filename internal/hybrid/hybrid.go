@@ -5,17 +5,22 @@
 // them behind) classical baselines and lets an arbiter pick the best valid
 // plan produced before the deadline.
 //
-// Two strategies are provided:
+// Three strategies are provided, each a short policy over one shared
+// launcher (one goroutine and one "racer.<name>" span per portfolio
+// backend) and one deadline-aware collector:
 //
-//   - "race": fan the encoded instance across a portfolio of backends
-//     concurrently; the first valid join order wins and the rest are
-//     cancelled. Latency-optimal when any single backend may stall.
-//   - "staged": run the classical stage (greedy, then DP when the instance
-//     is small enough) for an instant feasible incumbent, then — after a
-//     hedge delay — launch the quantum-simulated portfolio warm-started
-//     from that incumbent, improving the answer anytime until the deadline.
-//     Quality-optimal: the final plan is never worse than the classical
-//     incumbent.
+//   - "staged": the stage executor (see stages) runs the classical stage
+//     (greedy, then DP when the instance is small enough) for an instant
+//     feasible incumbent, then — after a hedge delay — launches the
+//     quantum-simulated portfolio warm-started from that incumbent,
+//     improving the answer anytime until the deadline. Quality-optimal:
+//     the final plan is never worse than the classical incumbent.
+//   - "learned": the contextual-bandit router picks the arms, which then
+//     run through the same stage executor with no hedge delay, and the
+//     arbiter's ground truth feeds reward updates back into the router.
+//   - "race": fan the encoded instance across the portfolio concurrently;
+//     the first valid join order wins and the rest are cancelled.
+//     Latency-optimal when any single backend may stall.
 //
 // Every candidate is validated and re-scored by true plan cost (Query.Cost
 // of the decoded order), never by QUBO energy, and per-backend win/loss
@@ -27,6 +32,7 @@ import (
 	"fmt"
 	"time"
 
+	"quantumjoin/internal/classical"
 	"quantumjoin/internal/core"
 	"quantumjoin/internal/sched"
 	"quantumjoin/internal/service"
@@ -47,6 +53,11 @@ const (
 // Name is the registry name of the hybrid backend.
 const Name = "hybrid"
 
+// minBudget is the minimum remaining deadline worth launching a portfolio
+// backend for: below it the stage executor keeps the classical incumbent
+// and the race relaunches nothing.
+const minBudget = 10 * time.Millisecond
+
 // Config assembles a hybrid Backend over an existing registry.
 type Config struct {
 	// Registry resolves portfolio backend names (required).
@@ -66,13 +77,6 @@ type Config struct {
 	// the quantum launch in the staged strategy (default 25ms). The pause
 	// lets cheap requests return without ever spinning up samplers.
 	HedgeDelay time.Duration
-	// MinBudget is the minimum remaining deadline worth launching a
-	// quantum stage for (default 10ms); below it the staged strategy
-	// returns the classical incumbent immediately.
-	MinBudget time.Duration
-	// MaxDPRelations caps the instance size for the DP pass of the staged
-	// classical stage, which does not poll the context (default 18).
-	MaxDPRelations int
 	// Router is the learned scheduler behind the "learned" strategy:
 	// requests selecting it are routed per its contextual-bandit decision,
 	// and arbiter outcomes feed its reward updates. Required for
@@ -89,12 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HedgeDelay == 0 {
 		c.HedgeDelay = 25 * time.Millisecond
-	}
-	if c.MinBudget == 0 {
-		c.MinBudget = 10 * time.Millisecond
-	}
-	if c.MaxDPRelations == 0 {
-		c.MaxDPRelations = 18
 	}
 	return c
 }
@@ -157,15 +155,19 @@ func (b *Backend) Orchestrate(ctx context.Context, enc *core.Encoding, p service
 	if strategy == "" {
 		strategy = b.cfg.Strategy
 	}
-	portfolio, skippedOpen, err := b.portfolio(p)
+	names, explicit := p.Hybrid.Portfolio, len(p.Hybrid.Portfolio) > 0
+	if !explicit {
+		names = b.cfg.Portfolio
+	}
+	portfolio, err := b.arms(names, explicit, enc.Query.NumRelations())
 	if err != nil {
 		return nil, err
 	}
 	switch strategy {
 	case StrategyRace:
-		return b.race(ctx, enc, p, portfolio, skippedOpen)
+		return b.race(ctx, enc, p, portfolio)
 	case StrategyStaged:
-		return b.staged(ctx, enc, p, portfolio, skippedOpen)
+		return b.staged(ctx, enc, p, portfolio)
 	case StrategyLearned:
 		return b.learned(ctx, enc, p)
 	default:
@@ -174,49 +176,64 @@ func (b *Backend) Orchestrate(ctx context.Context, enc *core.Encoding, p service
 	}
 }
 
-// portfolio resolves the request's (or the default) portfolio against the
-// registry. Unknown names are client errors; the hybrid backend itself is
-// rejected to keep orchestration non-recursive. A default portfolio is
-// silently filtered to registered backends so a slim registry still works.
-//
-// Backends whose circuit breaker reports open (see service.HealthReporter)
-// are skipped — launching a racer that is guaranteed to fast-fail wastes a
-// goroutine and pollutes the loss statistics — and the skip count is
-// returned so the strategies can distinguish "no such backends" (a client
-// error) from "all backends tripped" (transient unavailability, 503).
-// Half-open backends stay in: portfolio traffic is how they get probed
-// back to health.
-func (b *Backend) portfolio(p service.Params) ([]string, int, error) {
-	names := p.Hybrid.Portfolio
-	explicit := len(names) > 0
-	if !explicit {
-		names = b.cfg.Portfolio
-	}
-	var out []string
-	skippedOpen := 0
+// armSet is a backend list filtered for one request.
+type armSet struct {
+	names []string
+	// breakers holds the health state of every breaker-wrapped arm that
+	// passed the other checks — a routing feature for the learned router
+	// (nil when no arm reports health).
+	breakers map[string]string
+	// skippedOpen counts arms dropped for an open breaker, so strategies
+	// can tell "no such backends" (a client error) from "all backends
+	// tripped" (transient unavailability, 503).
+	skippedOpen int
+}
+
+// arms filters names down to the backends that can serve an n-relation
+// request: registered, not the hybrid backend itself (orchestration is not
+// recursive), DP only up to classical.RequestDPRelations, and no open
+// circuit breaker (see service.HealthReporter) — launching a backend that
+// is guaranteed to fast-fail wastes a goroutine and pollutes the loss
+// statistics. Half-open backends stay in: portfolio traffic is how they
+// get probed back to health. A request-named (explicit) list turns an
+// unknown name or "hybrid" into a client error; configured lists drop
+// them silently so a slim registry still works.
+func (b *Backend) arms(names []string, explicit bool, n int) (armSet, error) {
+	var set armSet
 	for _, name := range names {
-		if name == Name {
-			return nil, 0, fmt.Errorf("hybrid: portfolio must not include %q itself: %w",
-				Name, service.ErrBadRequest)
-		}
 		be, ok := b.cfg.Registry.Get(name)
-		if !ok {
-			if explicit {
-				return nil, 0, fmt.Errorf("hybrid: unknown portfolio backend %q: %w",
-					name, service.ErrBadRequest)
+		switch {
+		case name == Name && explicit:
+			return armSet{}, fmt.Errorf("hybrid: portfolio must not include %q itself: %w",
+				Name, service.ErrBadRequest)
+		case !ok && explicit:
+			return armSet{}, fmt.Errorf("hybrid: unknown portfolio backend %q: %w",
+				name, service.ErrBadRequest)
+		case name == Name || !ok:
+			continue
+		case name == "dp" && n > classical.RequestDPRelations:
+			continue
+		}
+		if hr, ok := be.(service.HealthReporter); ok {
+			state := hr.Health().State
+			if set.breakers == nil {
+				set.breakers = make(map[string]string, len(names))
 			}
-			continue
+			set.breakers[name] = state
+			if state == service.HealthOpen {
+				set.skippedOpen++
+				continue
+			}
 		}
-		if hr, ok := be.(service.HealthReporter); ok && hr.Health().State == service.HealthOpen {
-			skippedOpen++
-			continue
-		}
-		out = append(out, name)
+		set.names = append(set.names, name)
 	}
-	if explicit && len(out) == 0 && skippedOpen == 0 {
-		return nil, 0, fmt.Errorf("hybrid: empty portfolio: %w", service.ErrBadRequest)
-	}
-	return out, skippedOpen, nil
+	return set, nil
+}
+
+// allOpen is the transient-unavailability (503) error for a request whose
+// every usable backend was skipped for an open circuit breaker.
+func allOpen(n int, what string) error {
+	return fmt.Errorf("hybrid: all %d %s have open circuit breakers: %w", n, what, service.ErrUnavailable)
 }
 
 // subParams derives the parameters passed to a portfolio backend: the

@@ -240,6 +240,69 @@ func TestStagedCancellationReleasesWorkers(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
+// stuckBackend ignores its context and sleeps — a solver stuck in a
+// section that never checks for cancellation.
+type stuckBackend struct{}
+
+func (stuckBackend) Name() string { return "stuck" }
+
+func (stuckBackend) Solve(ctx context.Context, enc *core.Encoding, p service.Params) (*core.Decoded, error) {
+	time.Sleep(500 * time.Millisecond)
+	return nil, errors.New("stuck: gave up")
+}
+
+// TestStrategiesHonourDeadlineWithStuckRacer: whatever the strategy, the
+// request deadline ends the wait on a racer that ignores its context. The
+// race has nothing valid by then and reports the deadline; staged and
+// learned fall back to the classical incumbent.
+func TestStrategiesHonourDeadlineWithStuckRacer(t *testing.T) {
+	const deadline = 50 * time.Millisecond
+	cases := []struct {
+		strategy  string
+		portfolio []string
+		wantValid bool
+	}{
+		{StrategyRace, []string{"stuck"}, false},
+		{StrategyStaged, []string{"stuck"}, true},
+		{StrategyLearned, nil, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.strategy, func(t *testing.T) {
+			reg := testRegistry(t)
+			if err := reg.Register(stuckBackend{}); err != nil {
+				t.Fatal(err)
+			}
+			b, err := New(Config{Registry: reg, Router: testRouter(t, "stuck"), HedgeDelay: 5 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, enc := cliqueInstance(t, 6, 17)
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			defer cancel()
+			start := time.Now()
+			out, err := b.Orchestrate(ctx, enc, service.Params{
+				Seed:   17,
+				Hybrid: service.HybridParams{Strategy: tc.strategy, Portfolio: tc.portfolio},
+			})
+			if elapsed := time.Since(start); elapsed > deadline+100*time.Millisecond {
+				t.Errorf("returned after %v, want within %v of the %v deadline", elapsed, 100*time.Millisecond, deadline)
+			}
+			if !tc.wantValid {
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("err = %v, want one wrapping context.DeadlineExceeded", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Best == nil || !out.Best.Valid || out.Winner == "stuck" {
+				t.Errorf("want the classical incumbent, got winner %q best %+v", out.Winner, out.Best)
+			}
+		})
+	}
+}
+
 func TestPortfolioValidation(t *testing.T) {
 	reg := testRegistry(t)
 	b, err := New(Config{Registry: reg})

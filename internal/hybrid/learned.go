@@ -3,6 +3,7 @@ package hybrid
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -16,12 +17,11 @@ import (
 // scores every available arm against the request features and decides
 // between routing straight to the predicted-best backend (plus the
 // classical floor as a safety arm) and racing an uncertainty-sized
-// portfolio. Execution is staged-style — classical arms run synchronously
-// to establish an incumbent, quantum arms launch warm-started from it and
-// are collected anytime until the deadline — and the arbiter's ground
-// truth feeds reward updates back into the router: true plan-cost ratio
-// versus the best candidate minus a deadline-consumption penalty, zero for
-// arms that failed or missed the deadline.
+// portfolio. The chosen arms run through the stage executor with no hedge
+// delay, and the arbiter's ground truth feeds reward updates back into
+// the router: true plan-cost ratio versus the best candidate minus a
+// deadline-consumption penalty, zero for arms that failed or missed the
+// deadline.
 func (b *Backend) learned(ctx context.Context, enc *core.Encoding, p service.Params) (*Outcome, error) {
 	router := b.cfg.Router
 	if router == nil {
@@ -36,11 +36,10 @@ func (b *Backend) learned(ctx context.Context, enc *core.Encoding, p service.Par
 			budget = 0
 		}
 	}
-	available, breakers, skippedOpen := b.availableArms(router.Arms(), enc.Query.NumRelations())
-	if len(available) == 0 {
-		if skippedOpen > 0 {
-			return nil, fmt.Errorf("hybrid: all %d scheduler arms have open circuit breakers: %w",
-				skippedOpen, service.ErrUnavailable)
+	avail, _ := b.arms(router.Arms(), false, enc.Query.NumRelations())
+	if len(avail.names) == 0 {
+		if avail.skippedOpen > 0 {
+			return nil, allOpen(avail.skippedOpen, "scheduler arms")
 		}
 		return nil, fmt.Errorf("hybrid: no scheduler arm is registered: %w", service.ErrBadRequest)
 	}
@@ -49,8 +48,8 @@ func (b *Backend) learned(ctx context.Context, enc *core.Encoding, p service.Par
 		Budget:    budget,
 		CacheHit:  p.CacheHit,
 		Parts:     1,
-		Breakers:  breakers,
-		Available: available,
+		Breakers:  avail.breakers,
+		Available: avail.names,
 	})
 	if span := obs.ActiveSpan(ctx); span != nil {
 		span.SetAttr("sched_mode", decision.Mode)
@@ -59,77 +58,21 @@ func (b *Backend) learned(ctx context.Context, enc *core.Encoding, p service.Par
 		span.SetAttr("sched_arms", strings.Join(decision.Arms, ","))
 	}
 
-	// Classical arms run synchronously first (microseconds-to-
-	// milliseconds) so the portfolio can warm-start from their incumbent;
-	// everything else launches concurrently.
+	// Classical arms form the synchronous first stage so the portfolio can
+	// warm-start from their incumbent; everything else launches at once.
 	var classical, quantum []string
 	for _, arm := range decision.Arms {
-		if isClassicalArm(arm) {
+		if slices.Contains(classicalStage, arm) {
 			classical = append(classical, arm)
 		} else {
 			quantum = append(quantum, arm)
 		}
 	}
-
-	var candidates []Candidate
-	var incumbent *Candidate
-	for _, name := range classical {
-		be, ok := b.cfg.Registry.Get(name)
-		if !ok {
-			continue
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		clCtx, clSpan := obs.StartSpan(ctx, "classical."+name)
-		start := time.Now()
-		d, err := be.Solve(clCtx, enc, subParams(p, nil))
-		c := vet(enc, name, d, err, time.Since(start))
-		c.Fallback = name == decision.Safety
-		clSpan.SetAttr("valid", c.Decoded != nil)
-		clSpan.End(err)
-		candidates = append(candidates, c)
-		if c.Decoded != nil && (incumbent == nil || c.Cost < incumbent.Cost) {
-			cc := c
-			incumbent = &cc
-		}
-	}
-
-	if len(quantum) > 0 && b.budgetLeft(ctx) {
-		warm := warmState(enc, incumbent)
-		results := make(chan Candidate, len(quantum))
-		for _, name := range quantum {
-			be, ok := b.cfg.Registry.Get(name)
-			if !ok {
-				continue
-			}
-			spanCtx, span := obs.StartSpan(ctx, "racer."+name)
-			span.SetAttr("warm_start", warm != nil)
-			go func(name string, be service.Backend) {
-				start := time.Now()
-				d, err := be.Solve(spanCtx, enc, subParams(p, warm))
-				c := vet(enc, name, d, err, time.Since(start))
-				span.SetAttr("valid", c.Decoded != nil)
-				endRacerSpan(span, ctx, ctx, err)
-				results <- c
-			}(name, be)
-		}
-	collect:
-		for collected := 0; collected < len(quantum); collected++ {
-			select {
-			case c := <-results:
-				candidates = append(candidates, c)
-			case <-ctx.Done():
-				break collect
-			}
-		}
-	}
-
+	candidates := b.stages(ctx, enc, p, classical, quantum, 0, decision.Safety)
 	b.feedback(router, &decision, candidates, budget)
 
-	if len(candidates) == 0 && skippedOpen > 0 {
-		return nil, fmt.Errorf("hybrid: all %d scheduler arms have open circuit breakers: %w",
-			skippedOpen, service.ErrUnavailable)
+	if len(candidates) == 0 && avail.skippedOpen > 0 {
+		return nil, allOpen(avail.skippedOpen, "scheduler arms")
 	}
 	return b.arbitrate(ctx, StrategyLearned, candidates)
 }
@@ -159,44 +102,4 @@ func (b *Backend) feedback(router *sched.Router, d *sched.Decision, candidates [
 			router.Update(d, arm, 0) // invoked but missed the deadline
 		}
 	}
-}
-
-// availableArms filters the router's arm set to what can actually serve
-// this request — registered, breaker not open, DP size-gated — and
-// collects the breaker states the router consumes as features.
-func (b *Backend) availableArms(arms []string, n int) (available []string, breakers map[string]string, skippedOpen int) {
-	breakers = make(map[string]string, len(arms))
-	for _, name := range arms {
-		if name == Name {
-			continue // never recurse into ourselves
-		}
-		be, ok := b.cfg.Registry.Get(name)
-		if !ok {
-			continue
-		}
-		if name == "dp" && n > b.cfg.MaxDPRelations {
-			continue
-		}
-		if hr, ok := be.(service.HealthReporter); ok {
-			state := hr.Health().State
-			breakers[name] = state
-			if state == service.HealthOpen {
-				skippedOpen++
-				continue
-			}
-		}
-		available = append(available, name)
-	}
-	return available, breakers, skippedOpen
-}
-
-// isClassicalArm reports whether the arm belongs to the synchronous
-// classical stage (pure CPU heuristics with no sampling loop).
-func isClassicalArm(name string) bool {
-	for _, c := range classicalStage {
-		if c == name {
-			return true
-		}
-	}
-	return false
 }

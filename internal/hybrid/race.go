@@ -2,13 +2,11 @@ package hybrid
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
 	"quantumjoin/internal/core"
 	"quantumjoin/internal/faults"
-	"quantumjoin/internal/obs"
 	"quantumjoin/internal/service"
 )
 
@@ -24,18 +22,18 @@ const raceDrainGrace = 250 * time.Millisecond
 // returns as soon as any backend produces a valid join order, cancelling
 // the rest. Per-backend budgets are the full remaining deadline: racing
 // trades compute for latency, so every racer gets the whole window and the
-// first valid answer ends it.
+// first valid answer ends it. The request deadline ends the race too, even
+// when a racer is stuck in a section that does not check its context.
 //
 // A racer that dies of a transient QPU fault (mid-run abort, rejection,
 // failed embedding — see faults.Retryable) is relaunched once on a salted
 // seed while the race is undecided and deadline budget remains: on
 // unreliable hardware an abort says nothing about the instance, only about
 // that attempt.
-func (b *Backend) race(ctx context.Context, enc *core.Encoding, p service.Params, portfolio []string, skippedOpen int) (*Outcome, error) {
-	if len(portfolio) == 0 {
-		if skippedOpen > 0 {
-			return nil, fmt.Errorf("hybrid: all %d portfolio backends have open circuit breakers: %w",
-				skippedOpen, service.ErrUnavailable)
+func (b *Backend) race(ctx context.Context, enc *core.Encoding, p service.Params, portfolio armSet) (*Outcome, error) {
+	if len(portfolio.names) == 0 {
+		if portfolio.skippedOpen > 0 {
+			return nil, allOpen(portfolio.skippedOpen, "portfolio backends")
 		}
 		return nil, fmt.Errorf("hybrid: race strategy needs a non-empty portfolio: %w", service.ErrBadRequest)
 	}
@@ -44,60 +42,38 @@ func (b *Backend) race(ctx context.Context, enc *core.Encoding, p service.Params
 
 	// Buffered for every racer plus one relaunch each, so a straggler's
 	// send never blocks even after the race is abandoned.
-	results := make(chan Candidate, 2*len(portfolio))
-	launch := func(name string, p service.Params) {
-		be, _ := b.cfg.Registry.Get(name) // presence checked by portfolio()
-		// The racer's span is a child of the request's solve span; the
-		// goroutine owns it and ends it exactly once, win or lose — a
-		// cancelled loser past the drain grace still closes its span, and
-		// read-time trace snapshots pick that up.
-		spanCtx, span := obs.StartSpan(raceCtx, "racer."+name)
-		go func() {
-			start := time.Now()
-			d, err := be.Solve(spanCtx, enc, subParams(p, nil))
-			c := vet(enc, name, d, err, time.Since(start))
-			span.SetAttr("valid", c.Decoded != nil)
-			endRacerSpan(span, ctx, raceCtx, err)
-			results <- c
-		}()
-	}
-	for _, name := range portfolio {
-		launch(name, p)
+	f := &fanout{reg: b.cfg.Registry, enc: enc, outer: ctx, race: raceCtx,
+		results: make(chan Candidate, 2*len(portfolio.names))}
+	for _, name := range portfolio.names {
+		f.launch(name, p)
 	}
 
-	expected := len(portfolio)
-	relaunched := make(map[string]bool, len(portfolio))
+	relaunched := make(map[string]bool, len(portfolio.names))
 	var candidates []Candidate
-	won := false
-	for len(candidates) < expected {
-		c := <-results
+	var grace <-chan time.Time // set once the race is won
+	for f.pending > 0 {
+		c, ok := f.next(grace)
+		if !ok {
+			break
+		}
 		candidates = append(candidates, c)
-		if !won && c.Decoded == nil && !relaunched[c.Backend] && b.reRace(raceCtx, c.Err) {
+		switch {
+		case grace == nil && c.Decoded == nil && !relaunched[c.Backend] && reRace(raceCtx, c.Err):
 			relaunched[c.Backend] = true
-			expected++
 			pp := p
 			// Salt the seed so the relaunch explores a fresh embedding and
 			// sample path instead of replaying the doomed attempt.
 			pp.Seed = p.Seed ^ (int64(len(candidates)) * 0x5deece66d)
-			launch(c.Backend, pp)
-			continue
-		}
-		if c.Decoded != nil && !won {
-			won = true
+			f.launch(c.Backend, pp)
+		case grace == nil && c.Decoded != nil:
+			// First valid answer: cancel the losers and collect them for
+			// their outcome records, but only within the grace window — a
+			// loser stuck in a non-interruptible section must not delay
+			// the winning answer.
 			cancel()
-			// Collect the cancelled losers for their outcome records, but
-			// only within the grace window — a loser stuck in a non-
-			// interruptible section must not delay the winning answer.
-			grace := time.NewTimer(raceDrainGrace)
-			for len(candidates) < expected {
-				select {
-				case c := <-results:
-					candidates = append(candidates, c)
-				case <-grace.C:
-					return b.arbitrate(ctx, StrategyRace, candidates)
-				}
-			}
-			grace.Stop()
+			timer := time.NewTimer(raceDrainGrace)
+			defer timer.Stop()
+			grace = timer.C
 		}
 	}
 	return b.arbitrate(ctx, StrategyRace, candidates)
@@ -106,30 +82,6 @@ func (b *Backend) race(ctx context.Context, enc *core.Encoding, p service.Params
 // reRace reports whether a failed racer is worth one relaunch: its failure
 // is a transient fault, the race is still live, and enough deadline budget
 // remains for a fresh attempt.
-func (b *Backend) reRace(ctx context.Context, err error) bool {
-	return faults.Retryable(err) && ctx.Err() == nil && b.budgetLeft(ctx)
-}
-
-// endRacerSpan closes a portfolio racer's span, recording why a loser
-// stopped: the race was decided (lost_race), the request deadline hit, or
-// the client went away. Cancellation is an outcome, not a failure — only
-// a genuine backend error (while the race was still live) marks the span
-// errored, so healthy races stay subject to probabilistic sampling.
-func endRacerSpan(span *obs.Span, outer, race context.Context, err error) {
-	if race.Err() != nil {
-		reason := "lost_race"
-		switch {
-		case errors.Is(outer.Err(), context.DeadlineExceeded):
-			reason = "deadline"
-		case errors.Is(outer.Err(), context.Canceled):
-			reason = "client_cancelled"
-		}
-		span.SetAttr("cancel_reason", reason)
-		if err != nil {
-			span.SetAttr("error", err.Error())
-		}
-		span.End(nil)
-		return
-	}
-	span.End(err)
+func reRace(ctx context.Context, err error) bool {
+	return faults.Retryable(err) && budgetLeft(ctx)
 }

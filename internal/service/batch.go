@@ -291,10 +291,12 @@ func (s *Service) solveBatch(ctx context.Context, reqs []*Request, resps []*Resp
 }
 
 // safeSolveBatch invokes a BatchSolver with the same panic containment as
-// safeSolve, and normalises a misbehaving implementation's slice lengths.
+// safeSolve — one panic counted per call, however many instances it
+// fails — and normalises a misbehaving implementation's slice lengths.
 func (s *Service) safeSolveBatch(ctx context.Context, bs BatchSolver, encs []*core.Encoding, ps []Params) (ds []*core.Decoded, errs []error) {
 	defer func() {
 		if r := recover(); r != nil {
+			s.metrics.panics.Add(1)
 			ds = make([]*core.Decoded, len(encs))
 			errs = make([]error, len(encs))
 			for i := range errs {

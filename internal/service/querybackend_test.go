@@ -194,8 +194,9 @@ func TestBatchSolvesQueryBackendItemsSolo(t *testing.T) {
 
 // TestQueryBackendPanicIsContained: a panicking QueryBackend is caught by
 // the service's panic guard on both the single and the batch path. With
-// Degrade on, both are served by the classical fallback and each counts
-// in the panics counter; without it, both fail with a 500-class error.
+// Degrade on, both are served by the classical fallback; without it, both
+// fail with a 500-class error. Either way each panic counts once in the
+// panics counter.
 func TestQueryBackendPanicIsContained(t *testing.T) {
 	q := chainQuery()
 	for _, degrade := range []bool{true, false} {
@@ -225,8 +226,52 @@ func TestQueryBackendPanicIsContained(t *testing.T) {
 				t.Errorf("degrade off, %s: err = %v (status %d), want a 500 panic error", g.path, g.err, statusFor(g.err))
 			}
 		}
-		if p := svc.MetricsSnapshot().Requests.Panics; degrade && p != 2 {
-			t.Errorf("degrade on: panics counter = %d, want 2", p)
+		if p := svc.MetricsSnapshot().Requests.Panics; p != 2 {
+			t.Errorf("degrade %v: panics counter = %d, want 2", degrade, p)
+		}
+		svc.Close(context.Background())
+	}
+}
+
+// panicSolveBackend is a plain Backend whose Solve always panics.
+type panicSolveBackend struct{}
+
+func (panicSolveBackend) Name() string { return "panicky" }
+
+func (panicSolveBackend) Solve(ctx context.Context, enc *core.Encoding, p Params) (*core.Decoded, error) {
+	panic("panicky: injected panic")
+}
+
+// TestDedupedBatchPanicCountsOnce: identical batch items share one solve,
+// so a panic in it is one panic — however many members the group then
+// finishes, degraded or failed.
+func TestDedupedBatchPanicCountsOnce(t *testing.T) {
+	q := chainQuery()
+	for _, degrade := range []bool{true, false} {
+		reg := classicalRegistry(t)
+		if err := reg.Register(panicSolveBackend{}); err != nil {
+			t.Fatal(err)
+		}
+		svc := New(reg, Config{Workers: 2, DefaultBackend: "dp", Degrade: degrade})
+		reqs := []*Request{
+			{Query: q, Backend: "panicky"},
+			{Query: q, Backend: "panicky"},
+			{Query: q, Backend: "panicky"},
+		}
+		_, errs, stats := svc.OptimizeBatch(context.Background(), reqs, 5*time.Second)
+		if stats.Unique != 1 {
+			t.Fatalf("degrade %v: %d unique instances, want 1 deduplicated group", degrade, stats.Unique)
+		}
+		for i, err := range errs {
+			if degrade && err != nil {
+				t.Errorf("degrade on, item %d: %v", i, err)
+			}
+			if !degrade && !errors.Is(err, ErrPanic) {
+				t.Errorf("degrade off, item %d: err = %v, want a panic error", i, err)
+			}
+		}
+		if p := svc.MetricsSnapshot().Requests.Panics; p != 1 {
+			t.Errorf("degrade %v: panics counter = %d, want 1", degrade, p)
 		}
 		svc.Close(context.Background())
 	}

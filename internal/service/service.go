@@ -441,10 +441,12 @@ func (s *Service) dispatch(ctx context.Context, backend Backend, req *Request, e
 
 // safeSolve invokes the backend with panic containment: one misbehaving
 // backend must degrade its own request, never crash the daemon or leak a
-// pool worker.
+// pool worker. A recovered panic is counted here, once per call, whether
+// or not the request then degrades.
 func (s *Service) safeSolve(ctx context.Context, backend Backend, req *Request, enc *core.Encoding, p Params) (o outcome) {
 	defer func() {
 		if r := recover(); r != nil {
+			s.metrics.panics.Add(1)
 			o = outcome{err: fmt.Errorf("service: backend %q panicked: %v: %w", backend.Name(), r, ErrPanic)}
 		}
 	}()
@@ -504,9 +506,6 @@ func (s *Service) finishInto(ctx context.Context, req *Request, backendName stri
 		// A degraded outcome, not an arbitration win: the fallback answered
 		// only because the chosen backend failed.
 		s.metrics.Backend(producer).RecordDegraded()
-		if errors.Is(err, ErrPanic) {
-			s.metrics.panics.Add(1)
-		}
 		obs.Logger(ctx).WarnContext(ctx, "backend failed, degrading to classical plan",
 			"backend", backendName, "fallback", producer, "error", reason)
 	}
